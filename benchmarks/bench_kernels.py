@@ -4,6 +4,9 @@ Not tied to one paper artifact; these quantify the building blocks that
 every experiment above is made of (and guard against performance
 regressions)."""
 
+import os
+import sys
+
 import numpy as np
 
 from repro.algorithms import high_degree_seeds
@@ -17,8 +20,11 @@ from repro.rrset import (
     RRSimGenerator,
     RRSimPlusGenerator,
     greedy_max_coverage,
-    greedy_max_coverage_legacy,
 )
+
+# The legacy greedy benchmark times the test suite's per-list oracle.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.rrset.greedy_oracle import greedy_max_coverage_legacy  # noqa: E402
 
 GAPS_SIM = GAP(0.3, 0.8, 0.5, 0.5)
 GAPS_CIM = GAP(0.1, 0.9, 0.5, 1.0)

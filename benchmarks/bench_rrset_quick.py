@@ -92,11 +92,14 @@ from repro.rrset import (
     RRSimPlusGenerator,
     general_imm,
     greedy_max_coverage,
-    greedy_max_coverage_legacy,
     rr_estimate_objective,
 )
 from repro.rrset.base import RRSetGenerator
 from repro.rrset.sweep import SweepConfig
+
+# The pooled-vs-legacy greedy row times the test suite's per-list oracle.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.rrset.greedy_oracle import greedy_max_coverage_legacy  # noqa: E402
 
 SCHEMA_VERSION = 5
 

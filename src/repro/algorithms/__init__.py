@@ -1,9 +1,15 @@
-"""Seed-selection algorithms: problem solvers and baselines (§6–§7).
+"""Seed-selection building blocks and baselines (§6–§7).
 
-* :func:`~repro.algorithms.selfinfmax.solve_selfinfmax` /
-  :func:`~repro.algorithms.compinfmax.solve_compinfmax` — GeneralTIM over
-  RR-SIM/RR-SIM+/RR-CIM, wrapped in Sandwich Approximation outside the
-  provably-submodular GAP regimes;
+The four optimisation problems themselves are answered by the query layer
+(:class:`~repro.api.session.ComICSession`); this package holds the pieces
+its solvers and the §7 comparisons are built from:
+
+* :func:`~repro.algorithms.sandwich.sandwich_select` — the Sandwich
+  Approximation comparison of §6.4;
+* :func:`~repro.algorithms.blocking.estimate_suppression` — the
+  Monte-Carlo blocking objective (Appendix B.4);
+* :func:`~repro.algorithms.compinfmax.theorem2_optimal_b_seeds` — the
+  provably optimal CompInfMax special case (Theorem 2);
 * :mod:`~repro.algorithms.greedy` — CELF-accelerated Monte-Carlo greedy,
   the paper's "Greedy" comparison algorithm;
 * :mod:`~repro.algorithms.baselines` — HighDegree, PageRank, Random,
@@ -21,8 +27,8 @@ from repro.algorithms.baselines import (
     random_seeds,
     vanilla_ic_seeds,
 )
-from repro.algorithms.blocking import estimate_suppression, greedy_blocking
-from repro.algorithms.compinfmax import CompInfMaxResult, solve_compinfmax, theorem2_optimal_b_seeds
+from repro.algorithms.blocking import estimate_suppression
+from repro.algorithms.compinfmax import theorem2_optimal_b_seeds
 from repro.algorithms.greedy import (
     celf_greedy,
     celf_plus_plus_greedy,
@@ -30,21 +36,11 @@ from repro.algorithms.greedy import (
     greedy_selfinfmax,
 )
 from repro.algorithms.heuristics import degree_discount_seeds, single_discount_seeds
-from repro.algorithms.multi_item import (
-    greedy_multi_item_selfinfmax,
-    round_robin_multi_item,
-)
 from repro.algorithms.sandwich import SandwichResult, sandwich_select
-from repro.algorithms.selfinfmax import SelfInfMaxResult, solve_selfinfmax
 
 __all__ = [
-    "solve_selfinfmax",
-    "SelfInfMaxResult",
-    "solve_compinfmax",
-    "CompInfMaxResult",
     "theorem2_optimal_b_seeds",
     "estimate_suppression",
-    "greedy_blocking",
     "sandwich_select",
     "SandwichResult",
     "celf_greedy",
@@ -53,8 +49,6 @@ __all__ = [
     "greedy_compinfmax",
     "degree_discount_seeds",
     "single_discount_seeds",
-    "greedy_multi_item_selfinfmax",
-    "round_robin_multi_item",
     "high_degree_seeds",
     "pagerank_scores",
     "pagerank_seeds",

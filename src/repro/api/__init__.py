@@ -51,7 +51,7 @@ from repro.api.registry import (
     unregister,
     unregister_regime,
 )
-from repro.api.results import InfluenceResult
+from repro.api.results import CompInfMaxResult, InfluenceResult, SelfInfMaxResult
 from repro.api.session import (
     ComICSession,
     DeltaReport,
@@ -89,6 +89,7 @@ __all__ = [
     "BlockingQuery",
     "ComICSession",
     "CompInfMaxQuery",
+    "CompInfMaxResult",
     "DeltaError",
     "DeltaReport",
     "EMResult",
@@ -107,6 +108,7 @@ __all__ = [
     "PoolInfo",
     "PoolKey",
     "SelfInfMaxQuery",
+    "SelfInfMaxResult",
     "SessionStats",
     "StageRecord",
     "generator_factory",

@@ -174,40 +174,16 @@ class EngineConfig:
         )
 
     @classmethod
-    def from_tim_options(
-        cls,
-        options: Optional[TIMOptions] = None,
-        *,
-        engine: str = "tim",
-        imm_options: Optional[IMMOptions] = None,
-    ) -> "EngineConfig":
-        """Lift the legacy knob triple into one config (shim helper).
-
-        Mirrors the old dispatch rule: explicit ``imm_options`` win for
-        ``engine="imm"``, otherwise IMM inherits the TIM knobs.
-        """
+    def from_tim_options(cls, options: Optional[TIMOptions] = None) -> "EngineConfig":
+        """A TIM-engine config carrying ``options``' knobs (``None``: defaults)."""
         if options is None:
             options = TIMOptions()
-        if engine == "imm" and imm_options is not None:
-            return cls(
-                engine=engine,
-                epsilon=imm_options.epsilon,
-                ell=imm_options.ell,
-                max_rr_sets=imm_options.max_rr_sets,
-                min_rr_sets=imm_options.min_rr_sets,
-            )
         return cls(
-            engine=engine,
             epsilon=options.epsilon,
             ell=options.ell,
             max_rr_sets=options.max_rr_sets,
             min_rr_sets=options.min_rr_sets,
-            # IMM has no theta pin; legacy callers passing TIM options with
-            # theta_override to engine="imm" always had it dropped silently,
-            # and the shims must keep accepting that combination.
-            theta_override=(
-                options.theta_override if engine != "imm" else None
-            ),
+            theta_override=options.theta_override,
         )
 
     # ------------------------------------------------------------------

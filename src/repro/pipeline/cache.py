@@ -10,8 +10,11 @@ discipline mirrors :class:`~repro.store.PoolStore`:
   fingerprint), and its digest (16-hex SHA-256 of the canonical JSON)
   names the cache directory;
 * installs are atomic — outputs are staged into a hidden sibling
-  directory and ``os.replace``\\ d into place, so a crashed writer leaves
-  no half-entry a later run could trust;
+  directory and installed by the store's move-aside rename
+  (:func:`~repro.store.install.staged_install`), so a crashed writer
+  leaves no half-entry a later run could trust, and concurrent writers
+  of one key (threads or processes) never collide: the loser returns the
+  winner's equivalent entry;
 * loads validate — the stored key must equal the requested key and every
   array's checksum must match its manifest entry, else the entry is
   treated as a miss (and overwritten by the recompute).
@@ -26,16 +29,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import zlib
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import PipelineError
+from repro.errors import PipelineError, StoreError
 from repro.learning.action_log import ActionLog
 from repro.pipeline.config import canonical_json, digest_of
+from repro.store.install import staged_install
 
 __all__ = ["StageCache", "fingerprint_log", "fingerprint_episodes"]
 
@@ -136,13 +139,9 @@ class StageCache:
         extra: dict[str, Any],
     ) -> Path:
         """Install the entry for ``key``; replaces any existing entry."""
-        digest = self.digest(key)
-        final = self.root / digest
-        staging = self.root / f".staging-{digest}-{os.getpid()}"
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-        try:
+        final = self.entry_dir(key)
+
+        def write(staging: Path) -> None:
             columns: dict[str, Any] = {}
             for name, arr in arrays.items():
                 arr = np.ascontiguousarray(arr)
@@ -159,11 +158,10 @@ class StageCache:
             (staging / _META_FILE).write_text(
                 json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8"
             )
-            if final.exists():
-                shutil.rmtree(final)
-            os.replace(staging, final)
-        except OSError as exc:
-            shutil.rmtree(staging, ignore_errors=True)
+
+        try:
+            staged_install(final, write)
+        except (OSError, StoreError) as exc:
             raise PipelineError(
                 f"cannot install cache entry {final}: {exc}"
             ) from exc

@@ -52,7 +52,8 @@ from repro.pipeline.cache import (
     fingerprint_log,
 )
 from repro.pipeline.config import PipelineConfig, digest_of
-from repro.pipeline.db import DEBUG_DB_FILE, PipelineDebugDB, utc_now_iso
+from repro.pipeline.db import DEBUG_DB_FILE, PipelineDebugDB
+from repro.store.sqlite_db import utc_now_iso
 from repro.rng import derive_seed
 
 __all__ = ["PipelineResult", "StageRecord", "run_pipeline"]

@@ -30,7 +30,6 @@ from repro.rrset.tim import (
     TIMResult,
     general_tim,
     greedy_max_coverage,
-    greedy_max_coverage_legacy,
 )
 from repro.rrset.imm import IMMOptions, IMMResult, general_imm
 from repro.rrset.engines import SelectionResult, run_seed_selection
@@ -58,7 +57,6 @@ __all__ = [
     "TIMResult",
     "general_tim",
     "greedy_max_coverage",
-    "greedy_max_coverage_legacy",
     "IMMOptions",
     "IMMResult",
     "general_imm",

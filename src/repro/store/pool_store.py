@@ -30,13 +30,14 @@ both failure kinds to a miss and counts an **invalidation** in
 :class:`~repro.errors.StoreIntegrityError` for callers (and tests) that
 want the reason.
 
-Writes are staged + renamed: an entry is built in a ``.staging.*``
-directory, the old entry is atomically moved aside, and the staging
-directory atomically renamed into place, so readers never observe a
-half-written entry (at worst a momentary miss).  Concurrent writers of
-the same key race on the final rename; exactly one installs, losers
-discard their staging quietly — the right semantics when entries are
-identical re-samplings, and documented for everything else.
+Writes are staged + renamed (:func:`~repro.store.install.staged_install`,
+shared with the pipeline's stage cache): an entry is built in a
+``.staging.*`` directory, the old entry is atomically moved aside, and
+the staging directory atomically renamed into place, so readers never
+observe a half-written entry (at worst a momentary miss).  Concurrent
+writers of the same key race on the final rename; exactly one installs,
+losers discard their staging quietly — the right semantics when entries
+are identical re-samplings, and documented for everything else.
 
 **Incremental appends**: re-saving a *grown* pool whose stored entry is
 a validated byte-prefix of the new columns (the session's IMM-style
@@ -68,11 +69,9 @@ from __future__ import annotations
 
 import errno
 import io
-import itertools
 import json
 import os
 import shutil
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -82,8 +81,9 @@ import numpy as np
 
 from repro import faults
 from repro.errors import StoreError, StoreIntegrityError
-from repro.invalidation import InvalidationReason, coerce_reason
+from repro.invalidation import InvalidationReason
 from repro.rrset.pool import RRSetPool
+from repro.store.install import STAGING_PREFIX, TRASH_PREFIX, staged_install
 from repro.store.keys import PoolKey
 from repro.store.manifest import FORMAT_VERSION, PoolManifest, crc32_of
 
@@ -102,10 +102,6 @@ QUARANTINE_DIR = ".quarantine"
 REASON_FILE = "reason.json"
 
 PathLike = Union[str, os.PathLike]
-
-#: monotonic disambiguator for staging/trash names — two threads of one
-#: process saving the same key must never share a temp directory.
-_TEMP_COUNTER = itertools.count()
 
 _UINT32_MAX = int(np.iinfo(np.uint32).max)
 
@@ -244,7 +240,7 @@ class PoolStore:
         now = time.time()
         for child in self._root.iterdir():
             name = child.name
-            if not (name.startswith(".staging.") or name.startswith(".trash.")):
+            if not (name.startswith(STAGING_PREFIX) or name.startswith(TRASH_PREFIX)):
                 continue
             try:
                 age = now - child.stat().st_mtime
@@ -354,13 +350,8 @@ class PoolStore:
             touches=touches,
             column_dtypes=column_dtypes or None,
         )
-        token = (
-            f"{os.getpid()}.{threading.get_ident()}.{next(_TEMP_COUNTER)}"
-        )
-        staging = self._root / f".staging.{key.digest()}.{token}"
-        retired = self._root / f".trash.{key.digest()}.{token}"
-        staging.mkdir(parents=True)
-        try:
+
+        def write(staging: Path) -> None:
             self._arm_save_columns_fault(staging)
             np.save(staging / NODES_FILE, nodes)
             np.save(staging / INDPTR_FILE, indptr_col)
@@ -371,62 +362,14 @@ class PoolStore:
             )
             self._arm_save_manifest_fault(staging, manifest)
             self._arm_save_install_fault()
-            moved_aside = False
-            if entry.exists():
-                try:
-                    os.replace(entry, retired)  # atomic move-aside
-                except FileNotFoundError:
-                    # Same-key race: another writer retired the entry
-                    # between our check and the rename — it no longer
-                    # blocks our install.
-                    pass
-                except OSError as exc:
-                    # Any other retire failure is a genuine error
-                    # (EACCES, EIO, ...) — do not mask it as success
-                    # with the stale entry in place.
-                    shutil.rmtree(staging, ignore_errors=True)
-                    raise StoreError(
-                        f"failed to retire previous entry for {key}: {exc}"
-                    ) from exc
-                else:
-                    moved_aside = True
-            try:
-                os.replace(staging, entry)
-            except OSError as exc:
-                shutil.rmtree(staging, ignore_errors=True)
-                if entry.exists() or exc.errno in (
-                    errno.ENOTEMPTY,
-                    errno.EEXIST,
-                ):
-                    # Benign same-key race: another writer installed an
-                    # (equivalent) entry between our renames (ENOTEMPTY /
-                    # EEXIST means their entry blocked ours even if they
-                    # are mid-replace right now); theirs stands, our old
-                    # copy can retire.
-                    shutil.rmtree(retired, ignore_errors=True)
-                    return entry
-                if moved_aside:
-                    # Genuine failure (EIO, EACCES, ...): put the old —
-                    # still valid — entry back rather than losing it.
-                    try:
-                        os.replace(retired, entry)
-                    except OSError:  # pragma: no cover - double fault
-                        pass
-                raise StoreError(
-                    f"failed to install entry for {key}: {exc}"
-                ) from exc
-        except BaseException as exc:
-            if not (
-                isinstance(exc, faults.InjectedFault) and exc.kind == "crash"
-            ):
-                # An injected writer "crash" must leave its staging behind
-                # exactly as a killed process would — that orphan is what
-                # the open-time GC exists to clean.
-                shutil.rmtree(staging, ignore_errors=True)
+
+        try:
+            installed = staged_install(entry, write)
+        except BaseException:
             self.stats.save_failures += 1
             raise
-        shutil.rmtree(retired, ignore_errors=True)
-        self.stats.saves += 1
+        if installed:
+            self.stats.saves += 1
         return entry
 
     @staticmethod
@@ -666,7 +609,7 @@ class PoolStore:
                 self.stats.hits += 1
             return pool
         self.stats.invalidations += 1
-        reason = coerce_reason(getattr(last_exc, "reason", str(last_exc)))
+        reason = last_exc.reason
         self.stats.invalidations_by_reason[reason.value] = (
             self.stats.invalidations_by_reason.get(reason.value, 0) + 1
         )
@@ -697,12 +640,16 @@ class PoolStore:
             nodes = np.load(entry / NODES_FILE, mmap_mode=mmap_mode)
             indptr = np.load(entry / INDPTR_FILE, mmap_mode=mmap_mode)
         except (OSError, ValueError) as exc:
-            raise StoreIntegrityError(f"unreadable column file: {exc}") from exc
+            raise StoreIntegrityError(
+                f"unreadable column file: {exc}",
+                reason=InvalidationReason.CORRUPT_COLUMNS,
+            ) from exc
         indptr_dtype = manifest.column_dtype("indptr")
         if nodes.dtype != np.int32 or indptr.dtype != indptr_dtype:
             raise StoreIntegrityError(
                 f"column dtypes {nodes.dtype}/{indptr.dtype} do not match "
-                f"the manifest's int32/{indptr_dtype}"
+                f"the manifest's int32/{indptr_dtype}",
+                reason=InvalidationReason.CORRUPT_COLUMNS,
             )
         # Columns longer than the manifest describes are a concurrent (or
         # crash-interrupted) incremental append's tail: the described
@@ -766,7 +713,10 @@ class PoolStore:
         try:
             payload = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise StoreIntegrityError(f"unreadable manifest: {exc}") from exc
+            raise StoreIntegrityError(
+                f"unreadable manifest: {exc}",
+                reason=InvalidationReason.MALFORMED_MANIFEST,
+            ) from exc
         return PoolManifest.from_json(payload)
 
     @staticmethod
@@ -806,7 +756,7 @@ class PoolStore:
         key: PoolKey,
         reason: str,
         *,
-        reason_code: Optional[InvalidationReason] = None,
+        reason_code: InvalidationReason,
     ) -> Optional[Path]:
         """Move ``key``'s rejected entry under ``.quarantine/``; its new home.
 
@@ -815,11 +765,8 @@ class PoolStore:
         effort: a concurrent writer replacing the entry mid-move simply
         wins (``None`` is returned).  ``reason`` stays the human-readable
         message; the typed code rides alongside as ``reason_code`` in
-        ``reason.json`` (inferred from the message when not given — the
-        deprecation shim for pre-enum callers).
+        ``reason.json``.
         """
-        if reason_code is None:
-            reason_code = coerce_reason(reason)
         entry = self.entry_dir(key)
         if not entry.exists():
             return None

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import RegimeError
 from repro.graph import DiGraph, path_digraph, star_digraph
 from repro.models import GAP, exact_spread
-from repro.algorithms.blocking import estimate_suppression, greedy_blocking
+from repro.algorithms.blocking import estimate_suppression
+from repro.api import BlockingQuery, ComICSession
 
 COMPETITIVE = GAP(q_a=0.8, q_a_given_b=0.0, q_b=1.0, q_b_given_a=0.0)
 
@@ -39,6 +40,14 @@ class TestEstimateSuppression:
         assert paired.std <= unpaired.std
 
 
+def greedy_blocking(graph, gaps, seeds_a, k, *, rng=None, **query):
+    """The Monte-Carlo CELF blocker, through the session API."""
+    session = ComICSession(graph, gaps, rng=rng)
+    return session.run(
+        BlockingQuery(seeds_a=tuple(seeds_a), k=k, method="mc", **query)
+    ).seeds
+
+
 class TestGreedyBlocking:
     def test_requires_competition(self):
         with pytest.raises(RegimeError):
@@ -49,7 +58,7 @@ class TestGreedyBlocking:
         the most (it rejects A and stops relaying it)."""
         graph = path_digraph(4)
         seeds = greedy_blocking(
-            graph, COMPETITIVE, [0], 1, runs=150, rng=0, candidates=[1, 2, 3]
+            graph, COMPETITIVE, [0], 1, runs=150, rng=0, candidates=(1, 2, 3)
         )
         assert seeds == [1]
 
@@ -62,7 +71,7 @@ class TestGreedyBlocking:
             ],
         )
         chosen = greedy_blocking(
-            graph, COMPETITIVE, [0], 2, runs=150, rng=1, candidates=[1, 3, 4, 6]
+            graph, COMPETITIVE, [0], 2, runs=150, rng=1, candidates=(1, 3, 4, 6)
         )
         ours = estimate_suppression(
             graph, COMPETITIVE, [0], chosen, runs=800, rng=2

@@ -3,17 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.errors import GapError, SeedSetError
+from repro.errors import GapError, QueryError, SeedSetError
 from repro.graph import path_digraph, star_digraph
 from repro.models import (
     GAP,
     MultiItemGaps,
     estimate_multi_item_spread,
 )
-from repro.algorithms import (
-    greedy_multi_item_selfinfmax,
-    round_robin_multi_item,
-)
+from repro.api import ComICSession, MultiItemQuery
+
+
+def focal_greedy(graph, gaps, item, fixed_seed_sets, k, *, rng=None, **query):
+    """Extend ``item``'s seed set by ``k`` through the session API."""
+    session = ComICSession(graph, multi_item_gaps=gaps, rng=rng)
+    fixed = tuple(tuple(s) for s in fixed_seed_sets)
+    return session.run(
+        MultiItemQuery(budget=k, item=item, fixed_seed_sets=fixed, **query)
+    ).seeds
+
+
+def round_robin(graph, gaps, budget, *, rng=None, **query):
+    """Round-robin allocation of ``budget`` seeds through the session API."""
+    session = ComICSession(graph, multi_item_gaps=gaps, rng=rng)
+    return session.run(MultiItemQuery(budget=budget, **query)).seed_sets
 
 
 class TestAdditiveConstructor:
@@ -86,26 +98,24 @@ class TestGreedyFocalItem:
     def test_hub_found_on_star(self):
         graph = star_digraph(20, probability=1.0)
         gaps = MultiItemGaps.uniform(2, 0.8)
-        seeds = greedy_multi_item_selfinfmax(
-            graph, gaps, 0, [[], []], 1, runs=40, rng=4
-        )
+        seeds = focal_greedy(graph, gaps, 0, [[], []], 1, runs=40, rng=4)
         assert seeds == [0]
 
     def test_item_and_seed_set_validation(self):
         graph = star_digraph(5)
         gaps = MultiItemGaps.uniform(2, 0.5)
         with pytest.raises(SeedSetError):
-            greedy_multi_item_selfinfmax(graph, gaps, 2, [[], []], 1)
+            focal_greedy(graph, gaps, 2, [[], []], 1)
         with pytest.raises(SeedSetError):
-            greedy_multi_item_selfinfmax(graph, gaps, 0, [[]], 1)
-        with pytest.raises(SeedSetError):
-            greedy_multi_item_selfinfmax(graph, gaps, 0, [[], []], -1)
+            focal_greedy(graph, gaps, 0, [[]], 1)
+        with pytest.raises(QueryError):
+            focal_greedy(graph, gaps, 0, [[], []], -1)
 
     def test_candidates_respected(self):
         graph = star_digraph(8, probability=1.0)
         gaps = MultiItemGaps.uniform(2, 0.9)
-        seeds = greedy_multi_item_selfinfmax(
-            graph, gaps, 0, [[], []], 2, runs=20, rng=5, candidates=[3, 4, 5]
+        seeds = focal_greedy(
+            graph, gaps, 0, [[], []], 2, runs=20, rng=5, candidates=(3, 4, 5)
         )
         assert set(seeds) <= {3, 4, 5}
 
@@ -117,8 +127,8 @@ class TestGreedyFocalItem:
         edges = [(0, v) for v in range(2, 12)] + [(1, v) for v in range(12, 22)]
         graph = DiGraph.from_edges(22, edges, default_probability=1.0)
         gaps = MultiItemGaps.additive(2, base=0.1, boost_per_item=0.9)
-        seeds = greedy_multi_item_selfinfmax(
-            graph, gaps, 0, [[], [0]], 1, runs=60, rng=6, candidates=[0, 1]
+        seeds = focal_greedy(
+            graph, gaps, 0, [[], [0]], 1, runs=60, rng=6, candidates=(0, 1)
         )
         assert seeds == [0]
 
@@ -127,8 +137,8 @@ class TestRoundRobin:
     def test_budget_split_across_items(self):
         graph = star_digraph(15, probability=1.0)
         gaps = MultiItemGaps.uniform(2, 0.7)
-        sets = round_robin_multi_item(
-            graph, gaps, 4, runs=20, rng=7, candidates=[0, 1, 2, 3, 4]
+        sets = round_robin(
+            graph, gaps, 4, runs=20, rng=7, candidates=(0, 1, 2, 3, 4)
         )
         assert len(sets) == 2
         assert len(sets[0]) == 2 and len(sets[1]) == 2
@@ -137,12 +147,10 @@ class TestRoundRobin:
 
     def test_zero_budget(self):
         graph = star_digraph(5)
-        sets = round_robin_multi_item(
-            graph, MultiItemGaps.uniform(3, 0.5), 0, runs=5, rng=8
-        )
+        sets = round_robin(graph, MultiItemGaps.uniform(3, 0.5), 0, runs=5, rng=8)
         assert sets == [[], [], []]
 
     def test_negative_budget_rejected(self):
         graph = star_digraph(5)
-        with pytest.raises(SeedSetError):
-            round_robin_multi_item(graph, MultiItemGaps.uniform(2, 0.5), -1)
+        with pytest.raises(QueryError):
+            round_robin(graph, MultiItemGaps.uniform(2, 0.5), -1)

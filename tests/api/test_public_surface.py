@@ -12,6 +12,7 @@ EXPECTED_ALL = [
     "BlockingQuery",
     "ComICSession",
     "CompInfMaxQuery",
+    "CompInfMaxResult",
     "DeltaError",
     "DeltaReport",
     "EMResult",
@@ -30,6 +31,7 @@ EXPECTED_ALL = [
     "PoolInfo",
     "PoolKey",
     "SelfInfMaxQuery",
+    "SelfInfMaxResult",
     "SessionStats",
     "StageRecord",
     "generator_factory",

@@ -1,6 +1,8 @@
 """StageCache and input fingerprints: content identity, forgiving loads."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 
@@ -82,8 +84,9 @@ class TestStageCache:
         arrays, extra = cache.load(self.KEY)
         np.testing.assert_array_equal(arrays["x"], np.ones(2))
         assert extra == {"v": 2}
-        # no staging droppings left behind
-        assert not list(tmp_path.glob(".staging-*"))
+        # no staging or retired droppings left behind
+        assert not list(tmp_path.glob(".staging*"))
+        assert not list(tmp_path.glob(".trash*"))
 
     def test_meta_is_human_readable_json(self, tmp_path):
         cache = StageCache(tmp_path)
@@ -93,3 +96,47 @@ class TestStageCache:
         )
         assert meta["key"]["stage"] == "fit_edges"
         assert meta["columns"]["x"]["shape"] == [3]
+
+
+class TestConcurrentSaves:
+    def test_same_key_threads_never_collide(self, tmp_path):
+        """Regression: threads re-saving one key used to share a
+        per-process staging directory and race ``rmtree`` against
+        ``os.replace``.  Every save must succeed and the surviving entry
+        must load."""
+        cache = StageCache(tmp_path)
+        key = {"stage": "fit_edges", "graph": "abc"}
+        arrays = {"probabilities": np.linspace(0, 1, 64)}
+        errors = []
+        writers = 3
+        start = threading.Barrier(writers)
+
+        def writer():
+            start.wait(timeout=30)
+            for _ in range(100):
+                try:
+                    cache.save(key, arrays, {"v": 1})
+                except Exception as exc:  # failure capture
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        hit = cache.load(key)
+        assert hit is not None
+        np.testing.assert_array_equal(
+            hit[0]["probabilities"], arrays["probabilities"]
+        )
+        assert hit[1] == {"v": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            cache.digest(key)
+        ]

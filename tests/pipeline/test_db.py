@@ -3,6 +3,9 @@
 import sqlite3
 import threading
 
+import pytest
+
+from repro.errors import PipelineError
 from repro.pipeline import DEBUG_DB_FILE, SCHEMA_VERSION, PipelineDebugDB
 
 
@@ -33,6 +36,11 @@ class TestSchema:
         conn.close()
         db.close()
         assert mode.lower() == "wal"
+
+    def test_unopenable_file_raises_pipeline_error(self, tmp_path):
+        db = PipelineDebugDB(tmp_path / "missing-dir" / "debug.sqlite")
+        with pytest.raises(PipelineError, match="cannot open debug database"):
+            db.runs()
 
 
 class TestRunLifecycle:

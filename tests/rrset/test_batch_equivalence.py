@@ -37,9 +37,9 @@ from repro.rrset import (
     RRSimGenerator,
     RRSimPlusGenerator,
     greedy_max_coverage,
-    greedy_max_coverage_legacy,
 )
 from repro.rrset.rr_cim import forward_label_a_status
+from tests.rrset.greedy_oracle import greedy_max_coverage_legacy
 
 GAPS_ONE_WAY = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.5, q_b_given_a=0.5)
 GAPS_CIM = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.5, q_b_given_a=1.0)

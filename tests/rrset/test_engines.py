@@ -1,4 +1,4 @@
-"""Tests for the TIM/IMM engine dispatch and its use by the solvers."""
+"""Tests for the TIM/IMM engine dispatch and its use by the query layer."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.rrset import (
     run_seed_selection,
 )
 from repro.rrset.engines import imm_options_from_tim
-from repro.algorithms import solve_compinfmax, solve_selfinfmax
+from repro.api import ComICSession, CompInfMaxQuery, EngineConfig, SelfInfMaxQuery
 
 
 @pytest.fixture(scope="module")
@@ -64,32 +64,36 @@ class TestDispatch:
 
 
 class TestSolverEngines:
+    """Engine choice reaches the solvers: IMM answers carry ``IMMResult``s
+    under ``raw.tim_results``."""
+
     def test_selfinfmax_imm_submodular_path(self, graph):
         gaps = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.5, q_b_given_a=0.5)
-        result = solve_selfinfmax(
-            graph, gaps, [0, 1], 3,
-            options=TIMOptions(max_rr_sets=1500), engine="imm", rng=4,
+        session = ComICSession(
+            graph, gaps, config=EngineConfig(engine="imm", max_rr_sets=1500), rng=4
         )
+        result = session.run(SelfInfMaxQuery(seeds_b=(0, 1), k=3)).raw
         assert result.method == "submodular"
         assert isinstance(result.tim_results["sigma"], IMMResult)
         assert len(result.seeds) == 3
 
     def test_selfinfmax_imm_sandwich_path(self, graph):
         gaps = GAP(q_a=0.3, q_a_given_b=0.8, q_b=0.3, q_b_given_a=0.9)
-        result = solve_selfinfmax(
-            graph, gaps, [0, 1], 2,
-            options=TIMOptions(max_rr_sets=800),
-            evaluation_runs=30, engine="imm", rng=5,
+        session = ComICSession(
+            graph, gaps, config=EngineConfig(engine="imm", max_rr_sets=800), rng=5
         )
+        result = session.run(
+            SelfInfMaxQuery(seeds_b=(0, 1), k=2, evaluation_runs=30)
+        ).raw
         assert result.method == "sandwich"
         assert isinstance(result.tim_results["nu"], IMMResult)
 
     def test_compinfmax_imm_paths(self, graph):
         gaps = GAP(q_a=0.2, q_a_given_b=0.9, q_b=0.4, q_b_given_a=1.0)
-        result = solve_compinfmax(
-            graph, gaps, [0, 1], 2,
-            options=TIMOptions(max_rr_sets=800), engine="imm", rng=6,
+        session = ComICSession(
+            graph, gaps, config=EngineConfig(engine="imm", max_rr_sets=800), rng=6
         )
+        result = session.run(CompInfMaxQuery(seeds_a=(0, 1), k=2)).raw
         assert result.method == "submodular"
         assert isinstance(result.tim_results["sigma"], IMMResult)
 
@@ -98,8 +102,9 @@ class TestSolverEngines:
         graph = star_digraph(30)
         gaps = GAP(q_a=0.5, q_a_given_b=0.9, q_b=0.5, q_b_given_a=0.5)
         for engine in ("tim", "imm"):
-            result = solve_selfinfmax(
-                graph, gaps, [5], 1,
-                options=TIMOptions(max_rr_sets=1500), engine=engine, rng=7,
+            session = ComICSession(
+                graph, gaps,
+                config=EngineConfig(engine=engine, max_rr_sets=1500), rng=7,
             )
+            result = session.run(SelfInfMaxQuery(seeds_b=(5,), k=1))
             assert result.seeds == [0], engine

@@ -1,11 +1,11 @@
-"""The shared invalidation vocabulary and its legacy-string shims."""
+"""The shared invalidation vocabulary: typed reasons only."""
 
 import warnings
 
 import pytest
 
 from repro.errors import StoreIntegrityError
-from repro.invalidation import InvalidationReason, coerce_reason
+from repro.invalidation import InvalidationReason
 
 
 class TestEnum:
@@ -27,54 +27,36 @@ class TestEnum:
 
 
 class TestCoerceReason:
+    """The enum constructor is the only coercion: members and value
+    strings pass, free-form text is rejected instead of guessed at."""
+
     def test_enum_passes_through_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = coerce_reason(InvalidationReason.DELTA_CHURN)
+            got = InvalidationReason(InvalidationReason.DELTA_CHURN)
         assert got is InvalidationReason.DELTA_CHURN
 
     def test_canonical_string_passes_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = coerce_reason("corrupt_columns")
+            got = InvalidationReason("corrupt_columns")
         assert got is InvalidationReason.CORRUPT_COLUMNS
 
     @pytest.mark.parametrize(
-        "legacy, expected",
+        "text",
         [
-            (
-                "entry was sampled from a different graph (fingerprint...)",
-                InvalidationReason.FINGERPRINT_MISMATCH,
-            ),
-            (
-                "entry key K does not match requested K'",
-                InvalidationReason.KEY_MISMATCH,
-            ),
-            (
-                "entry has format_version 0, this build reads 1",
-                InvalidationReason.FORMAT_VERSION,
-            ),
-            (
-                "nodes column fails its CRC-32 check",
-                InvalidationReason.CORRUPT_COLUMNS,
-            ),
-            (
-                "indptr column has shape (3,), manifest says (5,)",
-                InvalidationReason.CORRUPT_COLUMNS,
-            ),
-            ("malformed manifest: KeyError", InvalidationReason.MALFORMED_MANIFEST),
+            "entry was sampled from a different graph (fingerprint...)",
+            "entry key K does not match requested K'",
+            "entry has format_version 0, this build reads 1",
+            "nodes column fails its CRC-32 check",
+            "indptr column has shape (3,), manifest says (5,)",
+            "malformed manifest: KeyError",
+            "no idea what happened",
         ],
     )
-    def test_legacy_strings_map_with_deprecation_warning(
-        self, legacy, expected
-    ):
-        with pytest.warns(DeprecationWarning):
-            assert coerce_reason(legacy) is expected
-
-    def test_unrecognisable_string_degrades_not_raises(self):
-        with pytest.warns(DeprecationWarning):
-            got = coerce_reason("no idea what happened")
-        assert got is InvalidationReason.MALFORMED_MANIFEST
+    def test_free_form_string_rejected(self, text):
+        with pytest.raises(ValueError):
+            InvalidationReason(text)
 
 
 class TestStoreIntegrityErrorReason:
@@ -84,11 +66,9 @@ class TestStoreIntegrityErrorReason:
         )
         assert exc.reason is InvalidationReason.DELTA_CHURN
 
-    def test_reason_inferred_from_message_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            exc = StoreIntegrityError("nodes column fails its CRC-32 check")
-        assert exc.reason is InvalidationReason.CORRUPT_COLUMNS
+    def test_reason_is_required(self):
+        with pytest.raises(TypeError):
+            StoreIntegrityError("nodes column fails its CRC-32 check")
 
     def test_string_reason_coerced(self):
         exc = StoreIntegrityError("boom", reason="key_mismatch")

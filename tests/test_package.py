@@ -30,9 +30,22 @@ class TestPublicApi:
 
     def test_headline_api_present(self):
         assert callable(repro.simulate)
-        assert callable(repro.solve_selfinfmax)
-        assert callable(repro.solve_compinfmax)
+        assert callable(repro.ComICSession.run)
         assert callable(repro.general_tim)
+
+    def test_one_shot_solvers_removed(self):
+        import repro.algorithms
+
+        for name in ("solve_selfinfmax", "solve_compinfmax"):
+            assert not hasattr(repro, name), name
+        for name in (
+            "solve_selfinfmax",
+            "solve_compinfmax",
+            "greedy_blocking",
+            "greedy_multi_item_selfinfmax",
+            "round_robin_multi_item",
+        ):
+            assert not hasattr(repro.algorithms, name), name
 
 
 class TestErrorHierarchy:
