@@ -896,18 +896,22 @@ def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ChunkCoinMemo:
     """Memoised per-``(chunk member, edge)`` Bernoulli coins.
 
-    The batched RR-CIM and RR-SIM+ kernels test the same edge from several
-    sub-searches of one world — forward labeling, the primary backward
-    search, Case-1 secondary searches and Case-4 zig-zag checks — so a
-    coin flipped in one sweep must be replayed by the others, exactly like
-    the oracle's memoised :meth:`~repro.models.sources.WorldSource.
-    edge_live`.  (RR-SIM's two-phase kernel gets away with a write-once
-    record because its phases never re-test an edge among themselves; the
-    richer kernels need a growable memo.)
+    The batched kernels test the same edge from several sweeps of one
+    world — RR-SIM's Phase II and III, RR-SIM+'s three sweeps, RR-CIM's
+    forward labeling, primary, Case-1 secondary and Case-4 zig-zag
+    searches, RR-Block's reverse A- and B-searches — so a coin flipped in
+    one sweep must be replayed by the others, exactly like the oracle's
+    memoised :meth:`~repro.models.sources.WorldSource.edge_live`.  The
+    chunk driver (:func:`~repro.rrset.base.chunked_generate_batch`) gives
+    every chunk a fresh memo and reads its keys back as the chunk's
+    edge-touch record.
 
-    Keys are ``member * num_edges + edge_id``.  The memo is one sorted
-    key array plus parallel values; every bulk query is a ``searchsorted``
-    lookup, fresh draws are merged in sorted position via ``np.insert``.
+    Keys are ``member * num_edges + edge_id``, held in two sorted tiers
+    with parallel values: a base tier of bulk :meth:`record`-ed coins
+    (sorted once, lazily, when a lookup first needs it) and a smaller
+    overlay of coins first drawn by :meth:`lookup_or_draw`, into which
+    fresh draws are scatter-merged (:func:`merge_sorted`) so the base is
+    never rewritten.  Every bulk query is a ``searchsorted`` lookup.
     """
 
     __slots__ = (
@@ -996,23 +1000,9 @@ class ChunkCoinMemo:
             uprobs[inverse] = probs  # any occurrence carries the edge's prob
             idx = np.flatnonzero(unseen)
             uvals[idx] = gen.random(idx.size) < uprobs[idx]
-            # Manual O(overlay) two-way merge into the overlay tier
-            # (np.insert pays far too much per-call overhead here).
-            new_keys = ukeys[idx]
-            total = self._okeys.size + new_keys.size
-            new_pos = np.searchsorted(self._okeys, new_keys) + np.arange(
-                new_keys.size, dtype=np.int64
+            self._okeys, self._ovals = merge_sorted(
+                self._okeys, ukeys[idx], self._ovals, uvals[idx]
             )
-            merged_keys = np.empty(total, dtype=np.int64)
-            merged_vals = np.empty(total, dtype=bool)
-            merged_keys[new_pos] = new_keys
-            merged_vals[new_pos] = uvals[idx]
-            old = np.ones(total, dtype=bool)
-            old[new_pos] = False
-            merged_keys[old] = self._okeys
-            merged_vals[old] = self._ovals
-            self._okeys = merged_keys
-            self._ovals = merged_vals
         return uvals[inverse]
 
     def touched_keys(self) -> np.ndarray:
@@ -1044,6 +1034,39 @@ def unique_keys(keys: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+def merge_sorted(
+    keys: np.ndarray,
+    new_keys: np.ndarray,
+    vals: Optional[np.ndarray] = None,
+    new_vals: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Merge sorted ``new_keys`` (disjoint from ``keys``) into sorted ``keys``.
+
+    The O(total) scatter merge behind every sorted record of the batched
+    sweeps (the coin memo's overlay, the sparse sweep states):
+    ``searchsorted`` places each new key, and the old keys fill the gaps —
+    ``np.insert`` pays far too much per-call overhead at sweep-level
+    cadence.  ``vals`` / ``new_vals`` are an optional parallel value
+    column merged alongside.  Returns ``(keys, vals)``, ``vals`` being
+    ``None`` when no value column was given.
+    """
+    pos = np.searchsorted(keys, new_keys) + np.arange(
+        new_keys.size, dtype=np.int64
+    )
+    total = keys.size + new_keys.size
+    old = np.ones(total, dtype=bool)
+    old[pos] = False
+    merged_keys = np.empty(total, dtype=np.int64)
+    merged_keys[pos] = new_keys
+    merged_keys[old] = keys
+    if vals is None:
+        return merged_keys, None
+    merged_vals = np.empty(total, dtype=vals.dtype)
+    merged_vals[pos] = new_vals
+    merged_vals[old] = vals
+    return merged_keys, merged_vals
 
 
 def touches_from_keys(

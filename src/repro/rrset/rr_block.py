@@ -54,7 +54,7 @@ blocking rather than carrying the ``Q+`` regimes' guarantees.
 Batched fast path
 -----------------
 
-:meth:`RRBlockGenerator.generate_batch` processes a chunk of independent
+:meth:`RRBlockGenerator._sample_chunk` processes a chunk of independent
 worlds at once in the style of the other kernels, but computes ``d_A``
 *in reverse*: the root's forward adoption time equals the length of the
 shortest live path from an A-seed whose non-seed nodes (root included)
@@ -87,19 +87,9 @@ from repro.models.gaps import GAP
 from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
-from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import (
-    ChunkCoinMemo,
-    RRSetPool,
-    expand_csr,
-    flatten_members,
-    touches_from_keys,
-)
+from repro.rrset.base import RRSetGenerator, chunked_generate_batch
+from repro.rrset.pool import ChunkCoinMemo, expand_csr, flatten_members
 from repro.rrset.sweep import make_flags
-
-#: Target size of one chunk's coin memo (entries) — bounds batch memory on
-#: worlds whose reverse A-regions are dense.
-_COIN_BUDGET = 16 << 20
 
 
 def check_rr_block_regime(gaps: GAP) -> None:
@@ -220,6 +210,7 @@ class RRBlockGenerator(RRSetGenerator):
             if not 0 <= s < graph.num_nodes:
                 raise RegimeError(f"A-seed {s} out of range")
         self._seed_set = frozenset(self._seeds_a)
+        self._seed_ids = np.unique(np.asarray(self._seeds_a, dtype=np.int64))
 
     @property
     def gaps(self) -> GAP:
@@ -247,6 +238,13 @@ class RRBlockGenerator(RRSetGenerator):
             self._graph, world, self._gaps, root, a_times, self._seed_set
         )
 
+    # Chunk-driver constants: two visited bitmaps per (world, node) dense;
+    # chunks re-size from the phase-1 memo load.
+    state_bytes_per_node = 2
+    max_members = 8192
+    probe_chunk = 256
+    generate_batch = chunked_generate_batch
+
     def _reverse_a_times(
         self,
         b: int,
@@ -273,7 +271,7 @@ class RRBlockGenerator(RRSetGenerator):
         n, m = graph.num_nodes, graph.num_edges
         q_a = self._gaps.q_a
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
-        seeds = np.unique(np.asarray(self._seeds_a, dtype=np.int64))
+        seeds = self._seed_ids
         budget = np.full(b, -1, dtype=np.int64)
         if lanes.size == 0 or seeds.size == 0:
             return budget
@@ -320,155 +318,92 @@ class RRBlockGenerator(RRSetGenerator):
             depth += 1
         return budget
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
+    def _sample_chunk(self, chunk_roots, gen, memo, world, backend):
+        """Suppression sets of one chunk of worlds (see module docstring).
 
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set samples its own independent world lazily, materialising coins
-        and thresholds only where the sweeps touch.
+        ``coins`` is the memo load after phase 1 (the reverse-A searches),
+        which is what the chunk schedule budgets.
         """
-        gen = make_rng(rng)
         graph = self._graph
         n, m = graph.num_nodes, graph.num_edges
         gaps = self._gaps
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
         in_indptr, in_src, in_prob, in_eid = graph.csr_in()
-        seeds = np.unique(np.asarray(self._seeds_a, dtype=np.int64))
-        # Two visited bitmaps per (world, node) dense: the sweep engine
-        # budgets them, then chunks re-size from the observed memo load
-        # like the other adaptive kernels.
-        backend = self.sweep.resolve_backend(n)
-        max_chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=2, max_members=8192
+        seeds = self._seed_ids
+        b = chunk_roots.size
+        # Root pre-filter: one uniform draw realises alpha_A(root).  Only
+        # roots with alpha in [q_{A|B}, q_{A|∅}) can both adopt A and be
+        # flipped by an interception; seeds adopt unconditionally and are
+        # never blockable.
+        if world is None:
+            alpha_root = gen.random(b)
+        else:
+            alpha_root = world.alpha_a[chunk_roots]
+        viable = (alpha_root >= gaps.q_a_given_b) & (alpha_root < gaps.q_a)
+        if seeds.size:
+            viable &= ~np.isin(chunk_roots, seeds)
+        root_time = self._reverse_a_times(
+            b, chunk_roots, np.flatnonzero(viable), gen, world, memo, backend
         )
-        chunk = min(max_chunk, 256)
-        start = 0
-        while start < roots.size:
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            start += b
-            memo = ChunkCoinMemo()
-            # Root pre-filter: one uniform draw realises alpha_A(root).
-            # Only roots with alpha in [q_{A|B}, q_{A|∅}) can both adopt
-            # A and be flipped by an interception; seeds adopt
-            # unconditionally and are never blockable.
+        coins = memo.size
+        lanes = np.flatnonzero(root_time > 0)
+        if lanes.size == 0:
+            empty = np.empty(0, dtype=np.int32)
+            return empty, np.zeros(b, dtype=np.int64), coins
+        lane_roots = chunk_roots[lanes]
+        visited = make_flags(b, n, backend)
+        visited.mark(lanes * n + lane_roots)
+        member_ids = [lanes]
+        member_nodes = [lane_roots]
+        frontier_world, frontier_node = lanes, lane_roots
+        depth = 0
+        q_b = gaps.q_b
+        while frontier_node.size:
+            # Relay gate: a frontier node expands iff its lane still has
+            # depth budget and it passes alpha_B (each node is gated at
+            # most once per world, so a fresh draw realises the threshold
+            # exactly).
+            deepen = root_time[frontier_world] > depth
+            fw, fn = frontier_world[deepen], frontier_node[deepen]
+            if fn.size == 0:
+                break
             if world is None:
-                alpha_root = gen.random(b)
+                relay = gen.random(fn.size) < q_b
             else:
-                alpha_root = world.alpha_a[chunk_roots]
-            viable = (alpha_root >= gaps.q_a_given_b) & (alpha_root < gaps.q_a)
-            if seeds.size:
-                viable &= ~np.isin(chunk_roots, seeds)
-            root_time = self._reverse_a_times(
-                b, chunk_roots, np.flatnonzero(viable), gen, world, memo,
-                backend,
-            )
+                relay = world.alpha_b[fn] < q_b
+            fw, fn = fw[relay], fn[relay]
+            if fn.size == 0:
+                break
+            depth += 1
+            reps, flat = expand_csr(in_indptr, fn)
+            if flat.size == 0:
+                break
             if world is None:
-                coins_per_world = max(memo.size / b, 1.0)
-                chunk = int(np.clip(_COIN_BUDGET / coins_per_world, 1, max_chunk))
-            track = pool.track_touches and world is None
-
-            def chunk_touches():
-                # The phase-1 reverse-A coins live in the memo even for
-                # worlds whose suppression set came out empty, so both
-                # append sites must extract the record.
-                if not track:
-                    return None, None
-                return touches_from_keys(memo.touched_keys(), m, b)
-
-            lanes = np.flatnonzero(root_time > 0)
-            if lanes.size == 0:
-                touch_edges, touch_lengths = chunk_touches()
-                pool.append_flat(
-                    np.empty(0, dtype=np.int32),
-                    np.zeros(b, dtype=np.int64),
-                    roots=chunk_roots,
-                    touch_edges=touch_edges,
-                    touch_lengths=touch_lengths,
+                live = memo.lookup_or_draw(
+                    fw[reps] * m + in_eid[flat], in_prob[flat], gen
                 )
-                continue
-            lane_roots = chunk_roots[lanes]
-            visited = make_flags(b, n, backend)
-            visited.mark(lanes * n + lane_roots)
-            member_ids = [lanes]
-            member_nodes = [lane_roots]
-            frontier_world, frontier_node = lanes, lane_roots
-            depth = 0
-            q_b = gaps.q_b
-            while frontier_node.size:
-                # Relay gate: a frontier node expands iff its lane still
-                # has depth budget and it passes alpha_B (each node is
-                # gated at most once per world, so a fresh draw realises
-                # the threshold exactly).
-                deepen = root_time[frontier_world] > depth
-                fw, fn = frontier_world[deepen], frontier_node[deepen]
-                if fn.size == 0:
-                    break
+            else:
+                live = world.live[in_eid[flat]]
+            key = visited.mark_new(fw[reps[live]] * n + in_src[flat[live]])
+            if key.size == 0:
+                break
+            frontier_world, frontier_node = np.divmod(key, n)
+            record = np.ones(frontier_node.size, dtype=bool)
+            if seeds.size:
+                # A-seeds relay B but are not recorded as candidates.
+                pos = np.searchsorted(seeds, frontier_node)
+                pos_c = np.minimum(pos, seeds.size - 1)
+                record &= seeds[pos_c] != frontier_node
+            # Simultaneous arrival (depth == d_A): the node's fair world
+            # coin resolves the race; each (world, node) is discovered
+            # once, so a fresh draw realises tau exactly.
+            tie = np.flatnonzero(record & (root_time[frontier_world] == depth))
+            if tie.size:
                 if world is None:
-                    relay = gen.random(fn.size) < q_b
+                    a_first = gen.random(tie.size) < 0.5
                 else:
-                    relay = world.alpha_b[fn] < q_b
-                fw, fn = fw[relay], fn[relay]
-                if fn.size == 0:
-                    break
-                depth += 1
-                reps, flat = expand_csr(in_indptr, fn)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    live = memo.lookup_or_draw(
-                        fw[reps] * m + in_eid[flat], in_prob[flat], gen
-                    )
-                else:
-                    live = world.live[in_eid[flat]]
-                key = visited.mark_new(
-                    fw[reps[live]] * n + in_src[flat[live]]
-                )
-                if key.size == 0:
-                    break
-                frontier_world, frontier_node = np.divmod(key, n)
-                record = np.ones(frontier_node.size, dtype=bool)
-                if seeds.size:
-                    # A-seeds relay B but are not recorded as candidates.
-                    pos = np.searchsorted(seeds, frontier_node)
-                    pos_c = np.minimum(pos, seeds.size - 1)
-                    record &= seeds[pos_c] != frontier_node
-                # Simultaneous arrival (depth == d_A): the node's fair
-                # world coin resolves the race; each (world, node) is
-                # discovered once, so a fresh draw realises tau exactly.
-                tie = np.flatnonzero(
-                    record & (root_time[frontier_world] == depth)
-                )
-                if tie.size:
-                    if world is None:
-                        a_first = gen.random(tie.size) < 0.5
-                    else:
-                        a_first = world.tau_a_first[frontier_node[tie]]
-                    record[tie[a_first]] = False
-                member_ids.append(frontier_world[record])
-                member_nodes.append(frontier_node[record])
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            touch_edges, touch_lengths = chunk_touches()
-            pool.append_flat(
-                nodes,
-                lengths,
-                roots=chunk_roots,
-                touch_edges=touch_edges,
-                touch_lengths=touch_lengths,
-            )
-        return pool
+                    a_first = world.tau_a_first[frontier_node[tie]]
+                record[tie[a_first]] = False
+            member_ids.append(frontier_world[record])
+            member_nodes.append(frontier_node[record])
+        nodes, lengths = flatten_members(member_nodes, member_ids, b)
+        return nodes, lengths, coins

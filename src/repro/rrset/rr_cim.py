@@ -32,7 +32,7 @@ Local diffusibility predicates (§6.3)::
 Batched fast path
 -----------------
 
-:meth:`RRCimGenerator.generate_batch` runs Algorithm 4 for a whole chunk
+:meth:`RRCimGenerator._sample_chunk` runs Algorithm 4 for a whole chunk
 of independent worlds at once.  The four-label forward pass becomes one
 level-synchronous sweep over a flat ``(chunk member, node)`` uint8 state
 array: two bits hold the label (none < potential < suspended < adopted),
@@ -72,12 +72,10 @@ from repro.models.gaps import GAP
 from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
-from repro.rrset.base import RRSetGenerator
+from repro.rrset.base import RRSetGenerator, chunked_generate_batch
 from repro.rrset.pool import (
     ChunkCoinMemo,
-    RRSetPool,
     expand_csr,
-    touches_from_keys,
     unique_inverse,
     unique_keys,
 )
@@ -100,11 +98,6 @@ _AA_SHIFT = 3
 _AA_MASK = np.uint8(0b11 << _AA_SHIFT)  # 0 unknown / 1 low / 2 mid / 3 high
 _AB_SHIFT = 5
 _AB_MASK = np.uint8(0b11 << _AB_SHIFT)  # 0 unknown / 1 pass / 2 fail
-
-#: Target size of one chunk's edge-coin memo (entries) — bounds batch
-#: memory on worlds with large A-reachable regions (ROADMAP sparse-state
-#: item: the record, not the dense state, is what grows with the region).
-_COIN_BUDGET = 16 << 20
 
 
 def check_rr_cim_regime(gaps: GAP) -> None:
@@ -177,6 +170,9 @@ class RRCimGenerator(RRSetGenerator):
         for s in self._seeds_a:
             if not 0 <= s < graph.num_nodes:
                 raise RegimeError(f"A-seed {s} out of range")
+        # Deduped like the oracle's label guard: a seed listed twice must
+        # not expand (and flip coins for) its out-edges twice.
+        self._seed_ids = np.unique(np.asarray(self._seeds_a, dtype=np.int64))
 
     @property
     def gaps(self) -> GAP:
@@ -364,6 +360,15 @@ class RRCimGenerator(RRSetGenerator):
     # ------------------------------------------------------------------
     # Batched fast path (see module docstring)
     # ------------------------------------------------------------------
+    # Chunk-driver constants: the uint8 byte-field plus a bool visited
+    # map per (member, node) dense.  The coin memo grows with the
+    # A-region's degree per world, known only after sampling, so the
+    # first chunk is a modest probe.
+    state_bytes_per_node = 2
+    max_members = 4096
+    probe_chunk = 128
+    generate_batch = chunked_generate_batch
+
     def _edge_live_batch(
         self,
         members: np.ndarray,
@@ -490,9 +495,7 @@ class RRCimGenerator(RRSetGenerator):
         graph = self._graph
         n = graph.num_nodes
         out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
-        # Dedupe like the oracle's label guard: a seed listed twice must
-        # not expand (and flip coins for) its out-edges twice.
-        seeds = np.unique(np.asarray(self._seeds_a, dtype=np.int64))
+        seeds = self._seed_ids
         if seeds.size == 0:
             return
         frontier = (
@@ -743,91 +746,30 @@ class RRCimGenerator(RRSetGenerator):
             passed[lo : lo + j] = verdict
         return cand_keys[passed]
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
-
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set samples its own independent world lazily — coins and
-        threshold categories materialise only for the edges and nodes the
-        sweeps touch, exactly like the oracle's
-        :class:`~repro.models.sources.WorldSource`.
-        """
-        gen = make_rng(rng)
-        graph = self._graph
-        n = graph.num_nodes
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
-        # The sweep engine budgets the chunk's state (uint8 byte-field
-        # plus bool visited per (member, node) dense); the coin memo
-        # grows with the A-region's degree per world, which is only
-        # known after sampling — start with a modest probe chunk and
-        # re-size from the observed coins-per-world (PR-1's adaptive
-        # chunking, here bounding the memo instead of a phase record).
-        backend = self.sweep.resolve_backend(n)
-        max_chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=2, max_members=4096
+    def _sample_chunk(self, chunk_roots, gen, memo, world, backend):
+        """Algorithm 4 for one chunk of worlds (see module docstring)."""
+        n = self._graph.num_nodes
+        b = chunk_roots.size
+        state = make_values(b, n, np.uint8, backend)
+        self._forward_label_batch(b, state, memo, gen, world)
+        rr_frags, sec_frags, zig_frags = self._primary_batch(
+            b, chunk_roots, state, memo, gen, world
         )
-        chunk = min(max_chunk, 128)
-        start = 0
-        while start < roots.size:
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            start += b
-            state = make_values(b, n, np.uint8, backend)
-            coins = ChunkCoinMemo()
-            self._forward_label_batch(b, state, coins, gen, world)
-            rr_frags, sec_frags, zig_frags = self._primary_batch(
-                b, chunk_roots, state, coins, gen, world
+        if sec_frags:
+            rr_frags.extend(
+                self._secondary_batch(
+                    np.concatenate(sec_frags), state, memo, gen, world, b
+                )
             )
-            if sec_frags:
-                rr_frags.extend(
-                    self._secondary_batch(
-                        np.concatenate(sec_frags), state, coins, gen, world, b
-                    )
-                )
-            if zig_frags:
-                zig = self._zigzag_batch(
-                    np.concatenate(zig_frags), state, coins, gen, world
-                )
-                if zig.size:
-                    rr_frags.append(zig)
-            if rr_frags:
-                mkeys = unique_keys(np.concatenate(rr_frags))
-                member, node = np.divmod(mkeys, n)
-                nodes = node.astype(np.int32)
-                lengths = np.bincount(member, minlength=b).astype(np.int64)
-            else:
-                nodes = np.empty(0, dtype=np.int32)
-                lengths = np.zeros(b, dtype=np.int64)
-            touch_edges = touch_lengths = None
-            if pool.track_touches and world is None:
-                # Even all-empty chunks carry real coin records (the
-                # forward labeling and reverse-A searches ran), so the
-                # extraction must not be skipped on the empty path.
-                touch_edges, touch_lengths = touches_from_keys(
-                    coins.touched_keys(), graph.num_edges, b
-                )
-            pool.append_flat(
-                nodes,
-                lengths,
-                roots=chunk_roots,
-                touch_edges=touch_edges,
-                touch_lengths=touch_lengths,
+        if zig_frags:
+            zig = self._zigzag_batch(
+                np.concatenate(zig_frags), state, memo, gen, world
             )
-            coins_per_member = max(coins.size / b, 1.0)
-            chunk = int(np.clip(_COIN_BUDGET / coins_per_member, 1, max_chunk))
-        return pool
+            if zig.size:
+                rr_frags.append(zig)
+        if not rr_frags:
+            empty = np.empty(0, dtype=np.int32)
+            return empty, np.zeros(b, dtype=np.int64), memo.size
+        member, node = np.divmod(unique_keys(np.concatenate(rr_frags)), n)
+        lengths = np.bincount(member, minlength=b).astype(np.int64)
+        return node.astype(np.int32), lengths, memo.size

@@ -13,7 +13,7 @@ it yields a VanillaLT baseline, the LT counterpart of §7's VanillaIC.
 Batched fast path
 -----------------
 
-:meth:`RRLTGenerator.generate_batch` advances the reverse walks of a whole
+:meth:`RRLTGenerator._sample_chunk` advances the reverse walks of a whole
 chunk of roots in lockstep: one uniform draw per live walk per step, then
 a *vectorized multi-range binary search* over a precomputed per-edge
 cumulative-weight array (each head node's in-CSR segment is its selection
@@ -33,8 +33,8 @@ import numpy as np
 from repro.graph.digraph import DiGraph
 from repro.models.lt import _check_lt_instance
 from repro.rng import SeedLike, make_rng
-from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import RRSetPool, flatten_members
+from repro.rrset.base import RRSetGenerator, chunked_generate_batch
+from repro.rrset.pool import flatten_members
 from repro.rrset.sweep import make_flags
 
 
@@ -97,76 +97,64 @@ class RRLTGenerator(RRSetGenerator):
             current = selected
         return np.asarray(chain, dtype=np.int64)
 
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring)."""
-        gen = make_rng(rng)
-        graph = self._graph
-        n = graph.num_nodes
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
-        in_indptr, in_src, _in_prob, _in_eid = graph.csr_in()
+    # Chunk-driver constants: one bool visited map per (member, node);
+    # no memoised coins, so every chunk is a full one.
+    state_bytes_per_node = 1
+    max_members = 65536
+    probe_chunk = max_members
+    generate_batch = chunked_generate_batch
+
+    def _sample_chunk(self, chunk_roots, gen, memo, world, backend):
+        """One chunk of lockstep reverse walks (see module docstring)."""
+        if world is not None:
+            # A PossibleWorld fixes independent edge coins; the LT
+            # triggering world is one in-neighbour choice per node.
+            raise ValueError("RR-LT has no fixed-world batch mode")
+        n = self._graph.num_nodes
+        in_indptr, in_src, _in_prob, _in_eid = self._graph.csr_in()
         cum = self._in_cumweights()
-        backend = self.sweep.resolve_backend(n)
-        chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=1, max_members=65536
-        )
-        for start in range(0, roots.size, chunk):
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            ids = np.arange(b, dtype=np.int64)
-            visited = make_flags(b, n, backend)
-            visited.mark(ids * n + chunk_roots)
-            member_ids = [ids]
-            member_nodes = [chunk_roots]
-            mem, cur = ids, chunk_roots
-            while mem.size:
-                seg_lo = in_indptr[cur]
-                seg_hi = in_indptr[cur + 1]
-                walking = seg_hi > seg_lo  # childless nodes end their walk
-                if not walking.all():
-                    mem, cur = mem[walking], cur[walking]
-                    seg_lo, seg_hi = seg_lo[walking], seg_hi[walking]
-                if mem.size == 0:
-                    break
-                draw = gen.random(mem.size)
-                # Multi-range binary search: per walk, the first edge of
-                # its node's segment whose cumulative weight exceeds the
-                # draw (the oracle's searchsorted side="right").
-                lo = seg_lo.copy()
-                hi = seg_hi.copy()
+        b = chunk_roots.size
+        ids = np.arange(b, dtype=np.int64)
+        visited = make_flags(b, n, backend)
+        visited.mark(ids * n + chunk_roots)
+        member_ids = [ids]
+        member_nodes = [chunk_roots]
+        mem, cur = ids, chunk_roots
+        while mem.size:
+            seg_lo = in_indptr[cur]
+            seg_hi = in_indptr[cur + 1]
+            walking = seg_hi > seg_lo  # childless nodes end their walk
+            if not walking.all():
+                mem, cur = mem[walking], cur[walking]
+                seg_lo, seg_hi = seg_lo[walking], seg_hi[walking]
+            if mem.size == 0:
+                break
+            draw = gen.random(mem.size)
+            # Multi-range binary search: per walk, the first edge of its
+            # node's segment whose cumulative weight exceeds the draw (the
+            # oracle's searchsorted side="right").
+            lo = seg_lo.copy()
+            hi = seg_hi.copy()
+            active = lo < hi
+            while active.any():
+                mid = (lo[active] + hi[active]) >> 1
+                go_right = cum[mid] <= draw[active]
+                lo[active] = np.where(go_right, mid + 1, lo[active])
+                hi[active] = np.where(go_right, hi[active], mid)
                 active = lo < hi
-                while active.any():
-                    mid = (lo[active] + hi[active]) >> 1
-                    go_right = cum[mid] <= draw[active]
-                    lo[active] = np.where(go_right, mid + 1, lo[active])
-                    hi[active] = np.where(go_right, hi[active], mid)
-                    active = lo < hi
-                chose = lo < seg_hi  # else the residual mass: nobody triggers
-                if not chose.any():
-                    break
-                mem = mem[chose]
-                selected = in_src[lo[chose]]
-                keys = mem * n + selected
-                fresh = ~visited.get(keys)  # a closed cycle ends the walk
-                mem, cur, keys = mem[fresh], selected[fresh], keys[fresh]
-                visited.mark(keys)
-                member_ids.append(mem)
-                member_nodes.append(cur)
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            pool.append_flat(nodes, lengths, roots=chunk_roots)
-        return pool
+            chose = lo < seg_hi  # else the residual mass: nobody triggers
+            if not chose.any():
+                break
+            mem = mem[chose]
+            selected = in_src[lo[chose]]
+            keys = mem * n + selected
+            fresh = ~visited.get(keys)  # a closed cycle ends the walk
+            mem, cur, keys = mem[fresh], selected[fresh], keys[fresh]
+            visited.mark(keys)
+            member_ids.append(mem)
+            member_nodes.append(cur)
+        nodes, lengths = flatten_members(member_nodes, member_ids, b)
+        return nodes, lengths, 0
 
 
 def vanilla_lt_seeds(

@@ -20,16 +20,18 @@ Three phases over one lazily-sampled world:
 Batched fast path
 -----------------
 
-:meth:`RRSimGenerator.generate_batch` processes a chunk of independent
+:meth:`RRSimGenerator._sample_chunk` processes a chunk of independent
 worlds at once, replacing the per-edge memoised :class:`WorldSource` calls
 with bulk vectorized draws: Phase II labels the B-adopted sets of *all*
 chunk worlds with one level-synchronous forward sweep (memoising each
 node's ``alpha_B`` outcome in a bit-flag state array), and Phase III runs
 the backward searches of all roots with one level-synchronous reverse
-sweep.  Edge coins flipped during Phase II are recorded in a sorted
-(world, edge) key array which Phase III consults before flipping fresh
-coins, so an edge keeps a single coin across phases exactly as the
-memoised oracle does.  Coins and thresholds materialise only for the
+sweep.  Edge coins flipped during Phase II are recorded into the chunk's
+:class:`~repro.rrset.pool.ChunkCoinMemo`, and Phase III tests its edges
+through the same memo (replaying a Phase-II coin, drawing an unseen
+edge's), so an edge keeps a single coin across phases exactly as the
+memoised oracle does; the memo's keys are also the chunk's edge-touch
+record for delta repair.  Coins and thresholds materialise only for the
 edges and nodes the sweeps touch, so batch cost tracks total RR-set size
 rather than ``n + m``.  Output distribution is identical to
 :meth:`generate`; ``tests/rrset/test_batch_equivalence.py`` verifies
@@ -50,12 +52,11 @@ from repro.models.gaps import GAP
 from repro.models.possible_world import PossibleWorld
 from repro.models.sources import ITEM_A, ITEM_B, WorldSource
 from repro.rng import SeedLike, make_rng
-from repro.rrset.base import RRSetGenerator
+from repro.rrset.base import RRSetGenerator, chunked_generate_batch
 from repro.rrset.pool import (
-    RRSetPool,
+    ChunkCoinMemo,
     expand_csr,
     flatten_members,
-    touches_from_keys,
     unique_keys,
 )
 from repro.rrset.sweep import make_flags, make_values
@@ -65,10 +66,6 @@ from repro.rrset.sweep import make_flags, make_values
 _B_PASS = np.int8(1)
 _B_FAIL = np.int8(2)
 _B_ADOPTED = np.int8(4)
-
-#: Target size of one chunk's Phase-II edge-coin record (entries; int64
-#: key + bool value each) — bounds batch memory on dense B-regions.
-_COIN_BUDGET = 16 << 20
 
 
 def check_rr_sim_regime(gaps: GAP) -> None:
@@ -142,6 +139,122 @@ def backward_search_a(
     return np.asarray(rr_set, dtype=np.int64)
 
 
+
+def forward_label_b_batch(
+    graph: DiGraph,
+    q_b: float,
+    frontier: np.ndarray,
+    b_state,
+    memo: ChunkCoinMemo,
+    gen: np.random.Generator,
+    world: Optional[PossibleWorld],
+    *,
+    first_flips: bool = False,
+) -> None:
+    """Batched Phase II: B-labeling of a chunk of worlds, in place.
+
+    ``frontier`` holds the ``member * n + node`` keys already marked
+    B-adopted in ``b_state``, an int8 bit-flag sweep state:
+    :data:`_B_PASS` / :data:`_B_FAIL` memoise each node's lazily-drawn
+    ``alpha_B < q_B`` outcome and :data:`_B_ADOPTED` marks B-adoption,
+    packed so every level costs one gather and one scatter.  Edge coins
+    go through ``memo``; ``first_flips`` promises that no coin of this
+    sweep was drawn before, so they are recorded without a lookup.
+    """
+    n, m = graph.num_nodes, graph.num_edges
+    out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
+    while frontier.size:
+        fmember, fnode = np.divmod(frontier, n)
+        reps, flat = expand_csr(out_indptr, fnode)
+        if flat.size == 0:
+            break
+        if world is not None:
+            live = world.live[out_eid[flat]]
+        elif first_flips:
+            keys = fmember[reps] * m + out_eid[flat]
+            live = gen.random(keys.size) < out_prob[flat]
+            memo.record(keys, live)
+        else:
+            live = memo.lookup_or_draw(
+                fmember[reps] * m + out_eid[flat], out_prob[flat], gen
+            )
+        key = fmember[reps[live]] * n + out_dst[flat[live]]
+        if key.size == 0:
+            break
+        key = unique_keys(key)
+        st = b_state.get(key)
+        idle = (st & _B_ADOPTED) == 0
+        key, st = key[idle], st[idle]
+        if key.size == 0:
+            break
+        if world is None:
+            unknown = (st & (_B_PASS | _B_FAIL)) == 0
+            if unknown.any():
+                passes = gen.random(int(unknown.sum())) < q_b
+                st[unknown] |= np.where(passes, _B_PASS, _B_FAIL)
+            adopt = (st & _B_PASS) != 0
+            b_state.put(key, st | np.where(adopt, _B_ADOPTED, 0))
+        else:
+            adopt = world.alpha_b[key % n] < q_b
+            b_state.put(key[adopt], _B_ADOPTED)
+        frontier = key[adopt]
+
+
+def backward_search_a_batch(
+    graph: DiGraph,
+    gaps: GAP,
+    chunk_roots: np.ndarray,
+    b_state,
+    memo: ChunkCoinMemo,
+    gen: np.random.Generator,
+    world: Optional[PossibleWorld],
+    backend: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Phase III: the RR-sets of a chunk's roots, packed.
+
+    A dequeued node always joins its RR-set; the sweep expands past it
+    only where ``alpha_A`` clears the NLA threshold (each node is dequeued
+    at most once per world, so a fresh draw realises the memoised
+    ``alpha_A`` exactly).  Edge coins go through ``memo``, replaying any
+    coin an earlier phase flipped for the same (world, edge) pair.
+    """
+    n, m = graph.num_nodes, graph.num_edges
+    in_indptr, in_src, in_prob, in_eid = graph.csr_in()
+    b = chunk_roots.size
+    ids = np.arange(b, dtype=np.int64)
+    visited = make_flags(b, n, backend)
+    visited.mark(ids * n + chunk_roots)
+    member_ids = [ids]
+    member_nodes = [chunk_roots]
+    fset, fnode = ids, chunk_roots
+    while fnode.size:
+        b_adopted = (b_state.get(fset * n + fnode) & _B_ADOPTED) != 0
+        threshold = np.where(b_adopted, gaps.q_a_given_b, gaps.q_a)
+        if world is None:
+            grow = gen.random(fnode.size) < threshold
+        else:
+            grow = world.alpha_a[fnode] < threshold
+        gset, gnode = fset[grow], fnode[grow]
+        if gnode.size == 0:
+            break
+        reps, flat = expand_csr(in_indptr, gnode)
+        if flat.size == 0:
+            break
+        if world is None:
+            live = memo.lookup_or_draw(
+                gset[reps] * m + in_eid[flat], in_prob[flat], gen
+            )
+        else:
+            live = world.live[in_eid[flat]]
+        key = visited.mark_new(gset[reps[live]] * n + in_src[flat[live]])
+        if key.size == 0:
+            break
+        fset, fnode = np.divmod(key, n)
+        member_ids.append(fset)
+        member_nodes.append(fnode)
+    return flatten_members(member_nodes, member_ids, b)
+
+
 class RRSimGenerator(RRSetGenerator):
     """Random RR-set sampler for SelfInfMax (Algorithm 2)."""
 
@@ -157,6 +270,9 @@ class RRSimGenerator(RRSetGenerator):
         for s in self._seeds_b:
             if not 0 <= s < graph.num_nodes:
                 raise RegimeError(f"B-seed {s} out of range")
+        # Deduped like the oracle's frontier guard: a B-seed listed twice
+        # must not expand (and flip coins for) its out-edges twice.
+        self._seed_ids = np.unique(np.asarray(self._seeds_b, dtype=np.int64))
 
     @property
     def gaps(self) -> GAP:
@@ -182,195 +298,34 @@ class RRSimGenerator(RRSetGenerator):
         )
         return backward_search_a(self._graph, world, self._gaps, root, b_adopted)
 
-    def _phase2_batch(
-        self,
-        b: int,
-        gen: np.random.Generator,
-        world: Optional[PossibleWorld],
-        backend: str,
-    ) -> tuple[object, np.ndarray, np.ndarray]:
-        """Phase II for a whole chunk of ``b`` independent worlds.
+    # Chunk-driver constants: int8 B-state plus bool visited per (world,
+    # node) dense.  Phase II's per-level sweep overhead is paid once per
+    # chunk, so RR-SIM wants the largest chunk memory affords — but its
+    # coin record grows with the B-region's out-degree per world, known
+    # only after sampling: start with a modest probe chunk.
+    state_bytes_per_node = 2
+    max_members = 8192
+    probe_chunk = 256
+    generate_batch = chunked_generate_batch
 
-        Returns ``(state, coin_keys, coin_vals)``.  ``state`` is one int8
-        bit-flag sweep state over ``world * n + node`` keys (dense flat
-        array or sparse touched-key map per ``backend``) — :data:`_B_PASS`
-        / :data:`_B_FAIL` memoise each node's lazily-drawn ``alpha_B <
-        q_B`` outcome, :data:`_B_ADOPTED` marks final B-adoption — packed
-        together so every sweep level costs one gather and one scatter.  The sorted ``coin_keys``/``coin_vals``
-        record every edge coin this phase flipped (key ``world_id * m +
-        edge_id``) so Phase III can reuse them — the batched realisation
-        of the oracle's memoised ``WorldSource.edge_live``.
-        """
+    def _sample_chunk(self, chunk_roots, gen, memo, world, backend):
+        """Phases II and III for one chunk (see module docstring)."""
         graph = self._graph
-        n, m = graph.num_nodes, graph.num_edges
-        q_b = self._gaps.q_b
-        out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
-        # Flat (world, node) -> world * n + node keys over a 1D state:
-        # 1D gathers/scatters are markedly faster than 2D.
-        state = make_values(b, n, np.int8, backend)
-        empty_keys = np.empty(0, dtype=np.int64)
-        empty_vals = np.empty(0, dtype=bool)
-        # Dedupe like the oracle's frontier guard: a B-seed listed twice
-        # must not expand (and flip coins for) its out-edges twice.
-        seeds = np.unique(np.asarray(self._seeds_b, dtype=np.int64))
-        if seeds.size == 0:
-            return state, empty_keys, empty_vals
-        frontier_world = np.repeat(np.arange(b, dtype=np.int64), seeds.size)
-        frontier_node = np.tile(seeds, b)
-        state.put(frontier_world * n + frontier_node, _B_ADOPTED)
-        coin_keys: list[np.ndarray] = []
-        coin_vals: list[np.ndarray] = []
-        while frontier_node.size:
-            reps, flat = expand_csr(out_indptr, frontier_node)
-            if flat.size == 0:
-                break
-            if world is None:
-                live = gen.random(flat.size) < out_prob[flat]
-                coin_keys.append(frontier_world[reps] * m + out_eid[flat])
-                coin_vals.append(live)
-            else:
-                live = world.live[out_eid[flat]]
-            key = frontier_world[reps[live]] * n + out_dst[flat[live]]
-            if key.size == 0:
-                break
-            key = unique_keys(key)
-            st = state.get(key)
-            idle = (st & _B_ADOPTED) == 0
-            key, st = key[idle], st[idle]
-            if key.size == 0:
-                break
-            if world is None:
-                unknown = (st & (_B_PASS | _B_FAIL)) == 0
-                if unknown.any():
-                    passes = gen.random(int(unknown.sum())) < q_b
-                    st[unknown] |= np.where(passes, _B_PASS, _B_FAIL)
-                adopt = (st & _B_PASS) != 0
-                state.put(key, st | np.where(adopt, _B_ADOPTED, 0))
-            else:
-                adopt = world.alpha_b[key % n] < q_b
-                state.put(key[adopt], _B_ADOPTED)
-            frontier_world, frontier_node = np.divmod(key[adopt], n)
-        if not coin_keys:
-            return state, empty_keys, empty_vals
-        keys = np.concatenate(coin_keys)
-        vals = np.concatenate(coin_vals)
-        order = np.argsort(keys, kind="stable")
-        return state, keys[order], vals[order]
-
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
-
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set samples its own independent world lazily — coins and
-        thresholds materialise only for the edges and nodes the sweeps
-        actually touch, exactly like the oracle's :class:`WorldSource`,
-        so batch cost tracks total RR-set size rather than ``n + m``.
-        """
-        gen = make_rng(rng)
-        graph = self._graph
-        n, m = graph.num_nodes, graph.num_edges
-        gaps = self._gaps
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
-        track = pool.track_touches and world is None
-        in_indptr, in_src, in_prob, in_eid = graph.csr_in()
-        # The sweep engine budgets the chunk's state (int8 B-state plus
-        # bool visited per (world, node) dense).  Phase II's per-level
-        # sweep overhead is paid once per chunk, so RR-SIM wants the
-        # largest chunk memory affords — but the Phase-II coin record
-        # grows with the B-region's out-degree per world, which is only
-        # known after sampling.  Start with a modest probe chunk and
-        # re-size from the observed coins-per-world so the record stays
-        # around _COIN_BUDGET entries per chunk.
-        backend = self.sweep.resolve_backend(n)
-        max_chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=2, max_members=8192
+        n = graph.num_nodes
+        b = chunk_roots.size
+        b_state = make_values(b, n, np.int8, backend)
+        seeds = self._seed_ids
+        if seeds.size:
+            init = np.repeat(np.arange(b, dtype=np.int64), seeds.size) * n
+            init += np.tile(seeds, b)
+            b_state.put(init, _B_ADOPTED)
+            # Each B-adopted node expands once, so every coin is a first
+            # flip: the memo's record fast lane, no lookups.
+            forward_label_b_batch(
+                graph, self._gaps.q_b, init, b_state, memo, gen, world,
+                first_flips=True,
+            )
+        nodes, lengths = backward_search_a_batch(
+            graph, self._gaps, chunk_roots, b_state, memo, gen, world, backend
         )
-        chunk = min(max_chunk, 256)
-        start = 0
-        while start < roots.size:
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            start += b
-            b_state, coin_keys, coin_vals = self._phase2_batch(
-                b, gen, world, backend
-            )
-            coins_per_world = max(coin_keys.size / b, 1.0)
-            chunk = int(np.clip(_COIN_BUDGET / coins_per_world, 1, max_chunk))
-            # Phase III: a dequeued node always joins its RR-set; the sweep
-            # expands past it only where alpha_A clears the NLA threshold
-            # (each node is dequeued at most once per world, so a fresh
-            # draw realises the memoised alpha_A exactly).
-            visited = make_flags(b, n, backend)
-            ids = np.arange(b, dtype=np.int64)
-            visited.mark(ids * n + chunk_roots)
-            member_ids = [ids]
-            member_nodes = [chunk_roots]
-            touch_frags: list[np.ndarray] = [coin_keys]
-            frontier_set, frontier_node = ids, chunk_roots
-            while frontier_node.size:
-                b_adopted = (
-                    b_state.get(frontier_set * n + frontier_node) & _B_ADOPTED
-                ) != 0
-                threshold = np.where(b_adopted, gaps.q_a_given_b, gaps.q_a)
-                if world is None:
-                    grow = gen.random(frontier_node.size) < threshold
-                else:
-                    grow = world.alpha_a[frontier_node] < threshold
-                grow_set, grow_node = frontier_set[grow], frontier_node[grow]
-                if grow_node.size == 0:
-                    break
-                reps, flat = expand_csr(in_indptr, grow_node)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    live = gen.random(flat.size) < in_prob[flat]
-                    if coin_keys.size or track:
-                        ekey = grow_set[reps] * m + in_eid[flat]
-                        if coin_keys.size:
-                            # Reuse any coin Phase II already flipped for
-                            # the same (world, edge) pair.
-                            pos = np.searchsorted(coin_keys, ekey)
-                            pos_clipped = np.minimum(pos, coin_keys.size - 1)
-                            seen = coin_keys[pos_clipped] == ekey
-                            live[seen] = coin_vals[pos_clipped[seen]]
-                        if track:
-                            touch_frags.append(ekey)
-                else:
-                    live = world.live[in_eid[flat]]
-                key = visited.mark_new(
-                    grow_set[reps[live]] * n + in_src[flat[live]]
-                )
-                if key.size == 0:
-                    break
-                frontier_set, frontier_node = np.divmod(key, n)
-                member_ids.append(frontier_set)
-                member_nodes.append(frontier_node)
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            touch_edges = touch_lengths = None
-            if track:
-                touch_edges, touch_lengths = touches_from_keys(
-                    unique_keys(np.concatenate(touch_frags)), m, b
-                )
-            pool.append_flat(
-                nodes,
-                lengths,
-                roots=chunk_roots,
-                touch_edges=touch_edges,
-                touch_lengths=touch_lengths,
-            )
-        return pool
+        return nodes, lengths, memo.size

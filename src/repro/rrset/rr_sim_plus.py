@@ -16,7 +16,7 @@ RR-set distribution; a statistical test asserts this.
 Batched fast path
 -----------------
 
-:meth:`RRSimPlusGenerator.generate_batch` keeps Algorithm 3's structure at
+:meth:`RRSimPlusGenerator._sample_chunk` keeps Algorithm 3's structure at
 chunk scale: one level-synchronous *unconditional* reverse sweep from all
 chunk roots (recording every edge coin it flips into a
 :class:`~repro.rrset.pool.ChunkCoinMemo`), then — only for the chunk
@@ -26,7 +26,7 @@ pairs, and finally RR-SIM's Phase-III backward sweep.  Phases II and III
 replay the earlier sweeps' coins through the shared memo (the batched
 counterpart of the oracle's memoised ``WorldSource``), so the output
 distribution matches :meth:`generate` exactly — and, by Lemma 7,
-RR-SIM's.  Chunks adapt to the observed coin-record size as in RR-SIM.
+RR-SIM's.  Chunks adapt to the observed memo load as in RR-SIM.
 """
 
 from __future__ import annotations
@@ -38,26 +38,17 @@ import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.models.gaps import GAP
-from repro.models.possible_world import PossibleWorld
 from repro.models.sources import WorldSource
 from repro.rng import SeedLike, make_rng
-from repro.rrset.base import RRSetGenerator
-from repro.rrset.pool import (
-    ChunkCoinMemo,
-    RRSetPool,
-    expand_csr,
-    flatten_members,
-    touches_from_keys,
-    unique_keys,
-)
+from repro.rrset.base import RRSetGenerator, chunked_generate_batch
+from repro.rrset.pool import expand_csr
 from repro.rrset.rr_sim import (
     _B_ADOPTED,
-    _B_FAIL,
-    _B_PASS,
-    _COIN_BUDGET,
     backward_search_a,
+    backward_search_a_batch,
     check_rr_sim_regime,
     forward_label_b_adopted,
+    forward_label_b_batch,
 )
 from repro.rrset.sweep import make_flags, make_values
 
@@ -75,6 +66,7 @@ class RRSimPlusGenerator(RRSetGenerator):
         self._gaps = gaps
         self._seeds_b = [int(s) for s in seeds_b]
         self._seeds_b_set = set(self._seeds_b)
+        self._seed_ids = np.unique(np.asarray(self._seeds_b, dtype=np.int64))
 
     @property
     def gaps(self) -> GAP:
@@ -129,185 +121,63 @@ class RRSimPlusGenerator(RRSetGenerator):
     # ------------------------------------------------------------------
     # Batched fast path (see module docstring)
     # ------------------------------------------------------------------
-    def _phase2_residual(
-        self,
-        init_keys: np.ndarray,
-        b_state,
-        coins: ChunkCoinMemo,
-        gen: np.random.Generator,
-        world: Optional[PossibleWorld],
-    ) -> None:
-        """Forward B-labeling from the in-scope (member, seed) pairs only.
+    # Chunk-driver constants: two bool visited maps plus the int8 B-state
+    # per (member, node) dense; chunks re-size from the memo load.
+    state_bytes_per_node = 3
+    max_members = 8192
+    probe_chunk = 256
+    generate_batch = chunked_generate_batch
 
-        The RR-SIM Phase-II sweep, except that edge coins go through the
-        shared memo: sweep 1 already flipped the coins inside each
-        member's reachable set, and re-testing them here must replay those
-        outcomes exactly as the oracle's memoised source does.
-        """
+    def _sample_chunk(self, chunk_roots, gen, memo, world, backend):
+        """Algorithm 3 for one chunk of worlds (see module docstring)."""
         graph = self._graph
         n, m = graph.num_nodes, graph.num_edges
-        q_b = self._gaps.q_b
-        out_indptr, out_dst, out_prob, out_eid = graph.csr_out()
-        frontier = init_keys
+        in_indptr, in_src, in_prob, in_eid = graph.csr_in()
+        b = chunk_roots.size
+        ids = np.arange(b, dtype=np.int64)
+        root_keys = ids * n + chunk_roots
+        # Sweep 1: unconditional reverse reachability from each root (the
+        # oracle's T1), recording every liveness coin it flips — each
+        # target node is dequeued at most once, so each in-edge is a
+        # first flip.
+        visited = make_flags(b, n, backend)
+        visited.mark(root_keys)
+        frontier = root_keys
         while frontier.size:
             fmember, fnode = np.divmod(frontier, n)
-            reps, flat = expand_csr(out_indptr, fnode)
+            reps, flat = expand_csr(in_indptr, fnode)
             if flat.size == 0:
                 break
             if world is None:
-                live = coins.lookup_or_draw(
-                    fmember[reps] * m + out_eid[flat], out_prob[flat], gen
-                )
+                keys = fmember[reps] * m + in_eid[flat]
+                live = gen.random(keys.size) < in_prob[flat]
+                memo.record(keys, live)
             else:
-                live = world.live[out_eid[flat]]
-            key = fmember[reps[live]] * n + out_dst[flat[live]]
-            if key.size == 0:
-                break
-            key = unique_keys(key)
-            st = b_state.get(key)
-            idle = (st & _B_ADOPTED) == 0
-            key, st = key[idle], st[idle]
-            if key.size == 0:
-                break
-            if world is None:
-                unknown = (st & (_B_PASS | _B_FAIL)) == 0
-                if unknown.any():
-                    passes = gen.random(int(unknown.sum())) < q_b
-                    st[unknown] |= np.where(passes, _B_PASS, _B_FAIL)
-                adopt = (st & _B_PASS) != 0
-                b_state.put(key, st | np.where(adopt, _B_ADOPTED, 0))
-            else:
-                adopt = world.alpha_b[key % n] < q_b
-                b_state.put(key[adopt], _B_ADOPTED)
-            frontier = key[adopt]
-
-    def generate_batch(
-        self,
-        count: int,
-        *,
-        rng: SeedLike = None,
-        roots: Optional[np.ndarray] = None,
-        out: Optional[RRSetPool] = None,
-        world: Optional[PossibleWorld] = None,
-    ) -> RRSetPool:
-        """Vectorized batch sampling (see module docstring).
-
-        ``world`` pins one eagerly-sampled possible world shared by every
-        set in the batch (fixed-world equivalence tests); by default each
-        set samples its own independent world lazily through the chunk's
-        coin memo and B-state bit flags.
-        """
-        gen = make_rng(rng)
-        graph = self._graph
-        n, m = graph.num_nodes, graph.num_edges
-        gaps = self._gaps
-        pool = out if out is not None else RRSetPool(n)
-        if roots is None:
-            roots = self.random_roots(count, rng=gen)
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-        if roots.size == 0:
-            return pool
-        in_indptr, in_src, in_prob, in_eid = graph.csr_in()
-        seeds = np.unique(np.asarray(self._seeds_b, dtype=np.int64))
-        # Three (member, node) states live per chunk dense: two bool
-        # visited maps plus the int8 B-state.
-        backend = self.sweep.resolve_backend(n)
-        max_chunk = self.sweep.chunk_size(
-            n, backend, state_bytes_per_node=3, max_members=8192
-        )
-        chunk = min(max_chunk, 256)
-        start = 0
-        while start < roots.size:
-            chunk_roots = roots[start : start + chunk]
-            b = chunk_roots.size
-            start += b
-            coins = ChunkCoinMemo()
-            ids = np.arange(b, dtype=np.int64)
-            root_keys = ids * n + chunk_roots
-            # Sweep 1: unconditional reverse reachability from each root
-            # (the oracle's T1), recording every liveness coin it flips —
-            # each target node is dequeued at most once, so each in-edge
-            # is a first flip.
-            visited = make_flags(b, n, backend)
-            visited.mark(root_keys)
-            frontier = root_keys
-            while frontier.size:
-                fmember, fnode = np.divmod(frontier, n)
-                reps, flat = expand_csr(in_indptr, fnode)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    keys = fmember[reps] * m + in_eid[flat]
-                    live = gen.random(keys.size) < in_prob[flat]
-                    coins.record(keys, live)
-                else:
-                    live = world.live[in_eid[flat]]
-                tkeys = visited.mark_new(
-                    fmember[reps[live]] * n + in_src[flat[live]]
-                )
-                if tkeys.size == 0:
-                    break
-                frontier = tkeys
-            # Residual forward labeling, only where T1 saw a B-seed (the
-            # point of Algorithm 3: skip EPT_F when B cannot matter).
-            b_state = make_values(b, n, np.int8, backend)
-            if seeds.size:
-                seed_keys = ids[:, None] * n + seeds[None, :]
-                init = seed_keys[visited.get(seed_keys)]
-                if init.size:
-                    b_state.put(init, _B_ADOPTED)
-                    self._phase2_residual(init, b_state, coins, gen, world)
-            # Sweep 2: RR-SIM's Phase III; confined to T1 by construction
-            # (it expands along exactly the live in-edges sweep 1 already
-            # certified, replayed through the memo).
-            visited2 = make_flags(b, n, backend)
-            visited2.mark(root_keys)
-            member_ids = [ids]
-            member_nodes = [chunk_roots]
-            fset, fnode = ids, chunk_roots
-            while fnode.size:
-                b_adopted = (b_state.get(fset * n + fnode) & _B_ADOPTED) != 0
-                threshold = np.where(b_adopted, gaps.q_a_given_b, gaps.q_a)
-                if world is None:
-                    # Each (member, node) is dequeued at most once, so a
-                    # fresh draw realises the memoised alpha_A exactly.
-                    grow = gen.random(fnode.size) < threshold
-                else:
-                    grow = world.alpha_a[fnode] < threshold
-                gset, gnode = fset[grow], fnode[grow]
-                if gnode.size == 0:
-                    break
-                reps, flat = expand_csr(in_indptr, gnode)
-                if flat.size == 0:
-                    break
-                if world is None:
-                    live = coins.lookup_or_draw(
-                        gset[reps] * m + in_eid[flat], in_prob[flat], gen
-                    )
-                else:
-                    live = world.live[in_eid[flat]]
-                key = visited2.mark_new(
-                    gset[reps[live]] * n + in_src[flat[live]]
-                )
-                if key.size == 0:
-                    break
-                fset, fnode = np.divmod(key, n)
-                member_ids.append(fset)
-                member_nodes.append(fnode)
-            nodes, lengths = flatten_members(member_nodes, member_ids, b)
-            touch_edges = touch_lengths = None
-            if pool.track_touches and world is None:
-                touch_edges, touch_lengths = touches_from_keys(
-                    coins.touched_keys(), m, b
-                )
-            pool.append_flat(
-                nodes,
-                lengths,
-                roots=chunk_roots,
-                touch_edges=touch_edges,
-                touch_lengths=touch_lengths,
+                live = world.live[in_eid[flat]]
+            tkeys = visited.mark_new(
+                fmember[reps[live]] * n + in_src[flat[live]]
             )
-            coins_per_member = max(coins.size / b, 1.0)
-            chunk = int(np.clip(_COIN_BUDGET / coins_per_member, 1, max_chunk))
-        return pool
+            if tkeys.size == 0:
+                break
+            frontier = tkeys
+        # Residual forward labeling, only where T1 saw a B-seed (the point
+        # of Algorithm 3: skip EPT_F when B cannot matter).  Sweep 1
+        # already flipped the coins inside each member's T1, so these
+        # re-tests replay through the memo.
+        b_state = make_values(b, n, np.int8, backend)
+        seeds = self._seed_ids
+        if seeds.size:
+            seed_keys = ids[:, None] * n + seeds[None, :]
+            init = seed_keys[visited.get(seed_keys)]
+            if init.size:
+                b_state.put(init, _B_ADOPTED)
+                forward_label_b_batch(
+                    graph, self._gaps.q_b, init, b_state, memo, gen, world
+                )
+        # Sweep 2: RR-SIM's Phase III; confined to T1 by construction (it
+        # expands along exactly the live in-edges sweep 1 already
+        # certified, replayed through the memo).
+        nodes, lengths = backward_search_a_batch(
+            graph, self._gaps, chunk_roots, b_state, memo, gen, world, backend
+        )
+        return nodes, lengths, memo.size

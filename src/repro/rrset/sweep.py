@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.rrset.pool import unique_keys
+from repro.rrset.pool import merge_sorted, unique_keys
 
 #: default per-chunk state budget (bytes) shared by every kernel — the
 #: one knob that replaces the per-kernel ``16 << 20`` / ``~64MB``
@@ -172,24 +172,6 @@ class SweepConfig:
 DEFAULT_SWEEP = SweepConfig()
 
 
-def _merge_unique_sorted(base: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Merge sorted-unique ``fresh`` (disjoint from ``base``) into ``base``.
-
-    The manual O(total) two-way merge of
-    :meth:`~repro.rrset.pool.ChunkCoinMemo.lookup_or_draw` — ``np.insert``
-    pays far too much per-call overhead on sweep-level cadence.
-    """
-    if base.size == 0:
-        return fresh.astype(np.int64, copy=True)
-    pos = np.searchsorted(base, fresh) + np.arange(fresh.size, dtype=np.int64)
-    out = np.empty(base.size + fresh.size, dtype=np.int64)
-    out[pos] = fresh
-    old = np.ones(out.size, dtype=bool)
-    old[pos] = False
-    out[old] = base
-    return out
-
-
 class DenseFlags:
     """Boolean per-(member, node) state over a flat dense array."""
 
@@ -253,7 +235,7 @@ class SparseFlags:
         ukeys = unique_keys(np.asarray(keys).ravel())
         fresh = ukeys[~self.get(ukeys)]
         if fresh.size:
-            self._keys = _merge_unique_sorted(self._keys, fresh)
+            self._keys, _ = merge_sorted(self._keys, fresh)
 
     def mark_new(self, keys: np.ndarray) -> np.ndarray:
         if keys.size == 0:
@@ -261,7 +243,7 @@ class SparseFlags:
         ukeys = unique_keys(np.asarray(keys))
         fresh = ukeys[~self.get(ukeys)]
         if fresh.size:
-            self._keys = _merge_unique_sorted(self._keys, fresh)
+            self._keys, _ = merge_sorted(self._keys, fresh)
         return fresh
 
     @property
@@ -344,20 +326,9 @@ class SparseValues:
             skeys = skeys[miss]
             svals = svals[miss]
         if skeys.size:
-            pos = np.searchsorted(self._keys, skeys) + np.arange(
-                skeys.size, dtype=np.int64
+            self._keys, self._vals = merge_sorted(
+                self._keys, skeys, self._vals, svals
             )
-            total = self._keys.size + skeys.size
-            merged_keys = np.empty(total, dtype=np.int64)
-            merged_vals = np.empty(total, dtype=self._dtype)
-            merged_keys[pos] = skeys
-            merged_vals[pos] = svals
-            old = np.ones(total, dtype=bool)
-            old[pos] = False
-            merged_keys[old] = self._keys
-            merged_vals[old] = self._vals
-            self._keys = merged_keys
-            self._vals = merged_vals
 
     def or_(self, keys: np.ndarray, flags) -> None:
         keys = np.asarray(keys)
